@@ -135,8 +135,13 @@ class RunJournal:
             os.fsync(fh.fileno())
         self.appended += 1
 
-    def record_success(self, key: str, result: SimulationResult) -> None:
-        self._append({"key": key, "ok": True, "result": result_to_dict(result)})
+    def record_success(
+        self, key: str, result: SimulationResult, payload: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """Journal a success; ``payload`` is a prebuilt ``result_to_dict(result)``."""
+        if payload is None:
+            payload = result_to_dict(result)
+        self._append({"key": key, "ok": True, "result": payload})
 
     def record_failure(self, key: str, error: str, attempts: Optional[List[Dict[str, Any]]] = None) -> None:
         self._append({"key": key, "ok": False, "error": error, "attempts": attempts or []})

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkpoint import RunJournal
+from repro.analysis.result_cache import result_to_dict
 from repro.common.faults import (
     FaultInjector,
     ambient_fault_args,
@@ -355,10 +356,14 @@ class _Batch:
     def complete(self, index: int, result: SimulationResult) -> None:
         o = self.outcome(index)
         o.ok, o.result = True, result
+        if self.cache is None and self.journal is None:
+            return
+        # Serialised once for both stores; each still seals its own copy.
+        payload = result_to_dict(result)
         if self.cache is not None:
-            self.cache.put(o.key, result)
+            self.cache.put(o.key, result, payload=payload)
         if self.journal is not None:
-            self.journal.record_success(o.key, result)
+            self.journal.record_success(o.key, result, payload=payload)
 
     def record_failure(self, index: int, kind: str, error: str, elapsed: float) -> JobAttempt:
         o = self.outcome(index)
@@ -381,7 +386,29 @@ class _Batch:
         self.report.degradations.append(event)
 
 
-def _run_one_serial(batch: _Batch, index: int) -> None:
+class _HeldTrace:
+    """The one trace a serial group runs on, acquired on first use.
+
+    A failed acquisition raises into the attempt that asked for it (and
+    is charged to that attempt like any other failure); nothing is
+    remembered, so the next attempt tries the store again.  Without a
+    store ``get`` returns ``None`` and each job synthesises its trace.
+    """
+
+    __slots__ = ("store", "params", "trace")
+
+    def __init__(self, store, params: Tuple) -> None:
+        self.store = store
+        self.params = params
+        self.trace = None
+
+    def get(self):
+        if self.trace is None and self.store is not None:
+            self.trace = self.store.get_or_build(*self.params)
+        return self.trace
+
+
+def _run_one_serial(batch: _Batch, index: int, held: _HeldTrace) -> None:
     """Serial attempt loop for one job: retries, backoff, optional deadline."""
     from repro.analysis import parallel as _parallel
 
@@ -395,11 +422,7 @@ def _run_one_serial(batch: _Batch, index: int) -> None:
             time.sleep(policy.delay(attempt, token))
         started = time.monotonic()
         try:
-            trace = None
-            if batch.trace_store is not None:
-                trace = batch.trace_store.get_or_build(
-                    job.workload, job.n_insts, job.seed, job.software_prefetch
-                )
+            trace = held.get()
             with _serial_deadline(policy.timeout) as armed:
                 if policy.timeout and not armed and not warned_unenforceable:
                     warned_unenforceable = True
@@ -426,13 +449,27 @@ def _run_one_serial(batch: _Batch, index: int) -> None:
 
 
 def _serial_phase(batch: _Batch, pending: Sequence[int]) -> None:
-    cut_off = 0
+    """Run ``pending`` in-process, one trace group at a time.
+
+    Jobs are grouped by trace in order of first appearance, as the queue
+    worker groups its claims, so each distinct trace is read from the
+    store once per batch and only one is held at a time.  Outcomes stay
+    aligned with the batch's indices whatever order the jobs run in.
+    """
+    from repro.analysis import parallel as _parallel
+
+    groups: Dict[Tuple, List[int]] = {}
     for index in pending:
-        if batch.past_deadline():
-            batch.mark_unclaimed(index)
-            cut_off += 1
-            continue
-        _run_one_serial(batch, index)
+        groups.setdefault(_parallel._trace_params(batch.jobs[index]), []).append(index)
+    cut_off = 0
+    for params, members in groups.items():
+        held = _HeldTrace(batch.trace_store, params)
+        for index in members:
+            if batch.past_deadline():
+                batch.mark_unclaimed(index)
+                cut_off += 1
+                continue
+            _run_one_serial(batch, index, held)
     if cut_off:
         batch.degrade(f"deadline: {cut_off} job(s) left unclaimed (serial)")
 

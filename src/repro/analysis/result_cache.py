@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -66,6 +67,20 @@ def config_fingerprint(config: SimulationConfig) -> Dict[str, Any]:
     return data
 
 
+@functools.lru_cache(maxsize=1024)
+def _memo_fingerprint(config_repr: str, config: SimulationConfig) -> Dict[str, Any]:
+    """:func:`config_fingerprint`, memoized for :func:`run_key`.
+
+    A sweep builds its keys from a handful of distinct configs, and the
+    ``asdict`` walk is most of a key's cost.  The config's ``repr`` is
+    part of the memo key because equality alone is too loose: ``1`` and
+    ``1.0`` (or ``0.0`` and ``-0.0``) compare equal and hash alike, but
+    serialise differently, so an equality-keyed memo could hand one
+    config the other's key.  The returned dict is shared: read it only.
+    """
+    return config_fingerprint(config)
+
+
 def run_key(
     workload: str,
     config: SimulationConfig,
@@ -79,7 +94,7 @@ def run_key(
     payload = {
         "version": version,
         "workload": workload,
-        "config": config_fingerprint(config),
+        "config": _memo_fingerprint(repr(config), config),
         "n_insts": n_insts,
         "seed": seed,
         "software_prefetch": software_prefetch,
@@ -92,8 +107,13 @@ def run_key(
 # ----------------------------------------------------------------------
 # SimulationResult <-> plain dict
 # ----------------------------------------------------------------------
+_TALLY_FIELDS = tuple(f.name for f in dataclasses.fields(PrefetchTally))
+
+
 def _tally_to_dict(tally: PrefetchTally) -> Dict[str, int]:
-    return dataclasses.asdict(tally)
+    # What ``dataclasses.asdict`` returns for these flat int fields,
+    # without its recursive deep-copy walk (a result has five tallies).
+    return {name: getattr(tally, name) for name in _TALLY_FIELDS}
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
@@ -299,7 +319,14 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, key: str, result: SimulationResult) -> None:
+    def put(
+        self, key: str, result: SimulationResult, payload: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """Store ``result`` under ``key``.
+
+        ``payload`` is ``result_to_dict(result)`` when the caller has
+        already built it (it is read, never modified).
+        """
         if self._pressure.check() is not None:
             # A nearly-full disk turns every write into a potential torn
             # entry; skipping is safe (the cache is a pure memo) and the
@@ -308,7 +335,7 @@ class ResultCache:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        data = result_to_dict(result)
+        data = dict(payload) if payload is not None else result_to_dict(result)
         data[DIGEST_KEY] = payload_digest(data)
         try:
             atomic_write_json(path, data)  # readers never see partial files

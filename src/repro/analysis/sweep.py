@@ -17,6 +17,7 @@ from repro.analysis.resilience import RetryPolicy
 from repro.analysis.result_cache import ResultCache
 from repro.common.config import FilterKind, SimulationConfig
 from repro.core.simulator import SimulationResult, Simulator
+from repro.filters.base import PollutionFilter
 from repro.filters.oracle import OracleFilter, OracleProfileBuilder
 from repro.filters.static_filter import ProfilingObserver, StaticFilter
 from repro.trace.stream import Trace
@@ -63,20 +64,35 @@ def run_workload(
     return Simulator(config, engine=engine).run(trace)
 
 
+def _run_with(
+    trace: Trace, config: SimulationConfig, filter_: PollutionFilter, engine: Optional[str]
+) -> SimulationResult:
+    """One pass with a filter built here, whose stats hook is then dropped.
+
+    A filter handed to :class:`Simulator` keeps its own stats group,
+    outside the simulator's tree, so the run's teardown leaves that
+    group's flush hook (a cycle back to the filter) bound.  The two-pass
+    helpers own their filters and unbind it themselves.
+    """
+    try:
+        return Simulator(config, filter_=filter_, engine=engine).run(trace)
+    finally:
+        filter_.stats.detach_flush()
+
+
 def run_oracle(trace: Trace, config: SimulationConfig, engine: Optional[str] = None) -> SimulationResult:
     """Two-pass oracle: profile with no filtering, replay dropping bad ones."""
     profiler = OracleProfileBuilder()
-    Simulator(config, filter_=profiler, engine=engine).run(trace)
-    oracle = OracleFilter(profiler.profile)
-    return Simulator(config, filter_=oracle, engine=engine).run(trace)
+    _run_with(trace, config, profiler, engine)
+    return _run_with(trace, config, OracleFilter(profiler.profile), engine)
 
 
 def run_static(trace: Trace, config: SimulationConfig, engine: Optional[str] = None) -> SimulationResult:
     """Two-pass static filter: offline profile, then PC-set filtering."""
     observer = ProfilingObserver()
-    Simulator(config, filter_=observer, engine=engine).run(trace)
+    _run_with(trace, config, observer, engine)
     static = StaticFilter(observer.profile, config.filter.static_bad_fraction)
-    return Simulator(config, filter_=static, engine=engine).run(trace)
+    return _run_with(trace, config, static, engine)
 
 
 def compare_filters(

@@ -132,6 +132,20 @@ class OoOPipeline:
         if self.sdp is not None:
             self.hierarchy.l2.on_evict = lambda ev: self.sdp.on_l2_eviction(ev.line_addr)
 
+    def unwire(self) -> None:
+        """Drop the feedback wiring above and the ``on_warmup`` hook.
+
+        Each hook is a bound method or closure over this engine (or its
+        owner) that the hierarchy holds, so a wired machine is one big
+        reference cycle.  Unwired, it is freed by refcount the moment
+        its owner lets go, instead of waiting for the cyclic collector.
+        """
+        hierarchy = self.hierarchy
+        hierarchy.l1.on_evict = None
+        hierarchy.l2.on_evict = None
+        hierarchy.on_buffer_evict = None
+        self.on_warmup = None
+
     def set_extension_prefetcher(self, prefetcher) -> None:
         """Install a custom HardwarePrefetcher in the extension slot.
 

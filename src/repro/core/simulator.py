@@ -124,7 +124,7 @@ class Simulator:
             self.engine_name, config, self.hierarchy, self.filter, self.classifier,
             self.stats["pipeline"],
         )
-        self.hierarchy.on_buffer_evict = self.engine._on_buffer_evict
+        self._spent = False
 
     def run(self, trace: Trace) -> SimulationResult:
         """Run the trace; statistics cover the post-warmup region only.
@@ -133,7 +133,17 @@ class Simulator:
         prefetch tallies, traffic, cycles) is reported as the delta between
         the warmup boundary and the end of the run, which removes the
         cold-start compulsory misses that short traces otherwise inflate.
+
+        A simulator runs once: the run ends by tearing the machine's
+        wiring down, so a second call raises instead of silently
+        measuring a half-unhooked, already-warm machine.
         """
+        if self._spent:
+            raise RuntimeError(
+                "Simulator.run() was already called on this instance; "
+                "build a fresh Simulator for each run"
+            )
+        self._spent = True
         marker: dict = {"counters": {}, "tallies": None, "cycles": 0, "done": False}
 
         def on_warmup(cycles_so_far: int) -> None:
@@ -145,17 +155,24 @@ class Simulator:
         if self.config.warmup_instructions > 0:
             self.engine.on_warmup = on_warmup
 
-        total_cycles = self.engine.run(trace)
-        # One deep invariant audit per run (all engine tiers), while the
-        # flush hooks are still bound — the stat-conservation check needs
-        # live batched counters to compare against.
-        if self.engine.sanitizer is not None:
-            self.engine.sanitizer.final(self.engine, total_cycles)
-        # Fold all batched hot-path counters into the stats dicts and drop
-        # the bound-method flush hooks: the result below carries ``stats``
-        # across process boundaries (parallel runs, disk cache) and must be
-        # plain data, not a handle on the whole hardware-model graph.
-        self.stats.detach_flush()
+        try:
+            total_cycles = self.engine.run(trace)
+            # One deep invariant audit per run (all engine tiers), while the
+            # flush hooks are still bound — the stat-conservation check needs
+            # live batched counters to compare against.
+            if self.engine.sanitizer is not None:
+                self.engine.sanitizer.final(self.engine, total_cycles)
+        finally:
+            # Fold all batched hot-path counters into the stats dicts and
+            # drop the bound-method flush hooks: the result below carries
+            # ``stats`` across process boundaries (parallel runs, disk
+            # cache) and must be plain data, not a handle on the whole
+            # hardware-model graph.  Unwiring the eviction/warmup hooks
+            # breaks the machine's remaining reference cycles, so each
+            # machine is freed by refcount when its job ends, not
+            # whenever the cyclic collector next runs.
+            self.stats.detach_flush()
+            self.engine.unwire()
         self.classifier.check_conservation()
 
         n = len(trace)

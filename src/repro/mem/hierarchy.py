@@ -84,7 +84,6 @@ class MemoryHierarchy:
         if buffer_config is not None and buffer_config.enabled:
             self.buffer = PrefetchBuffer(buffer_config.entries, stats=root["prefetch_buffer"])
         self.on_buffer_evict: Optional[BufferEvictCallback] = None
-        self._l1_writeback_sink = self._handle_l1_eviction_writeback
         # Hot-path constants, hoisted out of demand_access.
         self._l1_latency = config.l1.latency
         self._l2_latency = config.l2.latency
@@ -143,7 +142,7 @@ class MemoryHierarchy:
             if promoted is not None:
                 evicted = l1.fill(line, grant, promoted.source, promoted.trigger_pc)
                 if evicted is not None:
-                    self._l1_writeback_sink(evicted, grant)
+                    self._handle_l1_eviction_writeback(evicted, grant)
                 l1.access(line, is_write, grant)  # sets RIB, recency
                 self.stats.bump("buffer_promotions")
                 complete = grant + l1_lat + (pending - grant if pending else 0)
@@ -159,7 +158,7 @@ class MemoryHierarchy:
         else:
             evicted = l1.fill(line, grant, FillSource.DEMAND, dirty=is_write and self._l1_writeback)
             if evicted is not None:
-                self._l1_writeback_sink(evicted, grant)
+                self._handle_l1_eviction_writeback(evicted, grant)
         return AccessResult(
             line, grant, ready, False, l2_hit, False, nsp_tag_hit, False, mshr_stalled=stalled
         )
@@ -203,7 +202,7 @@ class MemoryHierarchy:
         else:
             evicted = self.l1.fill(line_addr, grant, source, trigger_pc, nsp_tag=nsp_tag)
             if evicted is not None:
-                self._l1_writeback_sink(evicted, grant)
+                self._handle_l1_eviction_writeback(evicted, grant)
         return PrefetchOutcome(line_addr, ready, l2_hit)
 
     # ------------------------------------------------------------------

@@ -207,3 +207,103 @@ class TestSweepWiring:
 def test_engines_run_through_jobs(engine):
     [r] = run_jobs([SimulationJob("wave5", _cfg(), N, 0, engine=engine)], workers=1)
     assert r.cycles > 0 and r.instructions > 0
+
+
+class TestSerialTraceMemo:
+    """Serial batches acquire each distinct trace once, one at a time."""
+
+    N_MEMO = 4_000
+
+    def _jobs(self):
+        # Interleaved traces A, B, A, B: each trace serves two configs.
+        cfgs = (_cfg(FilterKind.PA), _cfg(FilterKind.PC))
+        return [
+            SimulationJob(workload, cfgs[i // 2], self.N_MEMO, 0)
+            for i, workload in enumerate(("em3d", "mcf", "em3d", "mcf"))
+        ]
+
+    def _report(self, jobs, store, **kwargs):
+        from repro.analysis.resilience import RetryPolicy
+
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
+        return run_jobs(
+            jobs, workers=1, trace_store=store, policy=policy, return_report=True, **kwargs
+        )
+
+    def test_each_trace_is_read_once_and_results_match_solo_runs(self, tmp_path):
+        from repro.analysis.result_cache import result_to_dict
+        from repro.trace.store import TraceStore
+
+        jobs = self._jobs()
+        store = TraceStore(tmp_path / "traces")
+        report = self._report(jobs, store)
+        assert store.hits + store.misses == 2
+        assert all(o.ok and not o.attempts for o in report.outcomes)
+        for job, outcome in zip(jobs, report.outcomes):
+            solo = parallel_mod.execute_job(job)
+            assert result_to_dict(outcome.result) == result_to_dict(solo)
+
+    def test_failed_acquisition_is_charged_to_that_group_only(self, tmp_path):
+        from repro.trace.store import TraceStore
+
+        class FlakyStore(TraceStore):
+            """Fails the first ``failures`` acquisitions of the mcf trace."""
+
+            def __init__(self, directory, failures):
+                super().__init__(directory)
+                self.failures = failures
+                self.mcf_calls = 0
+
+            def get_or_build(self, workload, *args, **kwargs):
+                if workload == "mcf":
+                    self.mcf_calls += 1
+                    if self.mcf_calls <= self.failures:
+                        raise OSError("injected trace read failure")
+                return super().get_or_build(workload, *args, **kwargs)
+
+        jobs = self._jobs()
+        # One failure: the first mcf job retries once; nobody else notices.
+        store = FlakyStore(tmp_path / "once", failures=1)
+        report = self._report(jobs, store)
+        assert [o.ok for o in report.outcomes] == [True] * 4
+        assert [len(o.attempts) for o in report.outcomes] == [0, 1, 0, 0]
+        assert "injected trace read failure" in report.outcomes[1].attempts[0].error
+        assert store.mcf_calls == 2  # the failure was not memoized
+
+        # Persistent failure: only the mcf group's jobs fail, each after
+        # its full attempt budget, and every attempt asked the store again.
+        store = FlakyStore(tmp_path / "always", failures=10**6)
+        report = self._report(jobs, store)
+        assert [o.ok for o in report.outcomes] == [True, False, True, False]
+        assert [len(o.attempts) for o in report.outcomes] == [0, 2, 0, 2]
+        assert store.mcf_calls == 4
+
+    def test_deadline_leaves_honest_unclaimed_outcomes(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.analysis import resilience
+        from repro.trace.store import TraceStore
+
+        # A clock that jumps past the deadline while the mcf trace loads:
+        # the first mcf job (already claimed) runs, the second is cut off.
+        skew = {"s": 0.0}
+
+        class Clock:
+            sleep = staticmethod(time.sleep)
+
+            @staticmethod
+            def monotonic():
+                return time.monotonic() + skew["s"]
+
+        class SlowStore(TraceStore):
+            def get_or_build(self, workload, *args, **kwargs):
+                if workload == "mcf":
+                    skew["s"] = 1e6
+                return super().get_or_build(workload, *args, **kwargs)
+
+        monkeypatch.setattr(resilience, "time", Clock)
+        report = self._report(self._jobs(), SlowStore(tmp_path / "traces"), deadline=3600.0)
+        assert report.deadline_hit
+        assert [o.ok for o in report.outcomes] == [True, True, True, False]
+        assert [o.unclaimed for o in report.outcomes] == [False, False, False, True]
+        assert not report.outcomes[3].attempts

@@ -1,5 +1,6 @@
 """Persistent result cache: keys, round-trips, invalidation, tolerance."""
 
+import hashlib
 import json
 import os
 
@@ -26,6 +27,21 @@ def sample_result():
     return run_workload("em3d", cfg, N, 0)
 
 
+def _unmemoized_key(workload, config, n_insts, seed, software_prefetch, engine):
+    """``run_key`` spelled out over the un-memoized ``config_fingerprint``."""
+    payload = {
+        "version": MODEL_VERSION,
+        "workload": workload,
+        "config": config_fingerprint(config),
+        "n_insts": n_insts,
+        "seed": seed,
+        "software_prefetch": software_prefetch,
+        "engine": engine,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 class TestRunKey:
     def test_stable_across_equal_configs(self):
         a = SimulationConfig.paper_default(FilterKind.PA)
@@ -43,6 +59,35 @@ class TestRunKey:
         cfg = SimulationConfig.paper_default()
         assert run_key("em3d", cfg, N, 0) != run_key("em3d", cfg, N, 0, version="v-next")
         assert run_key("em3d", cfg, N, 0) == run_key("em3d", cfg, N, 0, version=MODEL_VERSION)
+
+    def test_memoized_key_matches_the_unmemoized_path(self):
+        def build():
+            return (
+                SimulationConfig.paper_ports(4, FilterKind.PC)
+                .with_warmup(8_000)
+                .with_filter(table_entries=1024)
+            )
+
+        a, b = build(), build()
+        assert a is not b and a == b
+        expected = _unmemoized_key("gcc", a, 20_000, 1, True, "kernel")
+        for cfg in (a, b, a, b.with_sanitize()):
+            assert run_key("gcc", cfg, 20_000, 1, True, "kernel") == expected
+        # The key the code derived for this run before the memo existed.
+        assert expected == "4a81f7e4f2a3b44885932c28009f3ea1887a22bcecf689bfb5b8d6aeae7e5908"
+
+    def test_memo_keeps_equal_but_differently_serialised_configs_apart(self):
+        # 1 == 1.0 and both hash alike, but they serialise differently, so
+        # each config must keep the key its own fingerprint gives.
+        as_int = SimulationConfig.paper_default().with_filter(static_bad_fraction=1)
+        as_float = SimulationConfig.paper_default().with_filter(static_bad_fraction=1.0)
+        assert as_int == as_float
+        for first, second in ((as_int, as_float), (as_float, as_int)):
+            for cfg in (first, second):
+                assert run_key("em3d", cfg, N, 0) == _unmemoized_key(
+                    "em3d", cfg, N, 0, True, "pipeline"
+                )
+        assert run_key("em3d", as_int, N, 0) != run_key("em3d", as_float, N, 0)
 
     def test_fingerprint_is_json_serialisable(self):
         fp = config_fingerprint(SimulationConfig.paper_32kb(FilterKind.PC))

@@ -101,3 +101,62 @@ class TestSimulatorRun:
         int_cold = run_workload_ipc("mcf", cfg, "interval")
         assert pipe_hot > pipe_cold
         assert int_hot > int_cold
+
+
+class TestTeardown:
+    """A finished run leaves no reference cycles behind.
+
+    Each machine is wired with callbacks that point back at it (eviction
+    feedback, the warmup hook, stats flush hooks).  ``Simulator.run``
+    unhooks them all, so the whole machine is freed by refcount the
+    moment the caller drops it; nothing waits for the cyclic collector.
+    """
+
+    @pytest.mark.parametrize(
+        "engine,kind",
+        [
+            ("pipeline", FilterKind.PC),
+            ("vector", FilterKind.PC),
+            ("kernel", FilterKind.PC),
+            # The two-pass protocols build their own filters.
+            ("pipeline", FilterKind.ORACLE),
+            ("vector", FilterKind.STATIC),
+        ],
+    )
+    def test_one_job_leaves_no_cyclic_garbage(self, engine, kind):
+        import gc
+        import warnings
+
+        from repro.analysis.sweep import run_workload
+
+        cfg = SimulationConfig.paper_default(kind).with_warmup(4_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # kernel leg notice
+            run_workload("em3d", cfg, 10_000, 0, engine)  # imports, trace, kernel load
+            gc.collect()
+            gc.disable()
+            try:
+                result = run_workload("em3d", cfg, 10_000, 0, engine)
+                unreachable = gc.collect()
+            finally:
+                gc.enable()
+        assert result.cycles > 0
+        assert unreachable == 0
+
+    def test_second_run_fails_loudly(self, em3d_trace, small_config):
+        sim = Simulator(small_config)
+        first = sim.run(em3d_trace)
+        with pytest.raises(RuntimeError, match="fresh Simulator"):
+            sim.run(em3d_trace)
+        assert Simulator(small_config).run(em3d_trace).cycles == first.cycles
+
+    def test_teardown_runs_when_the_engine_raises(self, em3d_trace):
+        cfg = SimulationConfig.paper_default(FilterKind.ADAPTIVE)
+        sim = Simulator(cfg, engine="kernel")
+        with pytest.raises(ValueError, match="kernel engine"):
+            sim.run(em3d_trace)
+        hierarchy = sim.hierarchy
+        assert hierarchy.l1.on_evict is None and hierarchy.l2.on_evict is None
+        assert hierarchy.on_buffer_evict is None and sim.engine.on_warmup is None
+        with pytest.raises(RuntimeError):
+            sim.run(em3d_trace)
