@@ -65,7 +65,8 @@ class ExecutionBackend(ABC):
 
     ``execute`` receives the resilience engine's mutable batch state
     (``repro.analysis.resilience._Batch``) and the indices still
-    pending after the journal/cache prefilter.  It must drive every
+    pending after the journal/cache prefilter, one per distinct job key
+    (duplicates take their first copy's outcome afterwards).  It must drive every
     pending index to a terminal state — ``batch.complete(i, result)``
     on success, ``batch.record_failure(...)`` + ``batch.give_up(i)``
     on permanent failure — and may call ``batch.degrade(event)`` to
@@ -218,42 +219,39 @@ class SharedFSBackend(ExecutionBackend):
             finally:
                 log.close()
 
-    def _apply(self, batch, indices: List[int], record: Dict) -> None:
-        """Fold one sealed done record into every outcome sharing its key."""
+    def _apply(self, batch, index: int, record: Dict) -> None:
+        """Fold one sealed done record into the outcome with its key."""
         from repro.analysis.result_cache import result_from_dict
 
         if record.get("ok"):
             try:
                 result = result_from_dict(record["result"])
             except (KeyError, TypeError, ValueError):
-                for index in indices:
-                    batch.record_failure(index, "exception", "corrupt done record payload", 0.0)
-                    batch.give_up(index)
+                batch.record_failure(index, "exception", "corrupt done record payload", 0.0)
+                batch.give_up(index)
                 return
-            for index in indices:
-                # Replay failed attempts that preceded the success, so the
-                # outcome's history matches what a pool run would report.
-                for attempt in record.get("attempts") or []:
-                    batch.record_failure(
-                        index,
-                        str(attempt.get("kind", "exception")),
-                        str(attempt.get("error", "failed")),
-                        float(attempt.get("elapsed", 0.0)),
-                    )
-                batch.complete(index, result)
-            return
-        attempts = record.get("attempts") or [
-            {"kind": "exception", "error": record.get("error", "failed"), "elapsed": 0.0}
-        ]
-        for index in indices:
-            for attempt in attempts:
+            # Replay failed attempts that preceded the success, so the
+            # outcome's history matches what a pool run would report.
+            for attempt in record.get("attempts") or []:
                 batch.record_failure(
                     index,
                     str(attempt.get("kind", "exception")),
                     str(attempt.get("error", "failed")),
                     float(attempt.get("elapsed", 0.0)),
                 )
-            batch.give_up(index)
+            batch.complete(index, result)
+            return
+        attempts = record.get("attempts") or [
+            {"kind": "exception", "error": record.get("error", "failed"), "elapsed": 0.0}
+        ]
+        for attempt in attempts:
+            batch.record_failure(
+                index,
+                str(attempt.get("kind", "exception")),
+                str(attempt.get("error", "failed")),
+                float(attempt.get("elapsed", 0.0)),
+            )
+        batch.give_up(index)
 
     def execute(self, batch, pending: Sequence[int], workers: int, share_traces: bool) -> None:
         from repro.analysis.worker import drain_queue
@@ -271,11 +269,9 @@ class SharedFSBackend(ExecutionBackend):
         owns_dir = self.queue_dir is None
         root = self.queue_dir or Path(tempfile.mkdtemp(prefix="repro-queue-"))
         queue = FileQueue(root, lease_ttl=self.lease_ttl, poison_threshold=self.poison_threshold)
-        key_to_indices: Dict[str, List[int]] = {}
-        for index in pending:
-            key_to_indices.setdefault(batch.outcome(index).key, []).append(index)
-        # One queue job per distinct key; duplicates fan back out on apply.
-        queue.submit([batch.jobs[indices[0]] for indices in key_to_indices.values()])
+        # execute_batch hands over one index per distinct key.
+        key_to_index = {batch.outcome(index).key: index for index in pending}
+        queue.submit([batch.jobs[index] for index in key_to_index.values()])
 
         # A deadline set on the batch (sweep --deadline) wins; otherwise
         # the backend's own budget starts ticking now.
@@ -295,11 +291,11 @@ class SharedFSBackend(ExecutionBackend):
         if deadline_hit:
             batch.report.deadline_hit = True
 
-        self._fold_outcomes(batch, queue, key_to_indices, deadline_hit)
+        self._fold_outcomes(batch, queue, key_to_index, deadline_hit)
         if owns_dir:
             shutil.rmtree(root, ignore_errors=True)
 
-    def _fold_outcomes(self, batch, queue, key_to_indices: Dict[str, List[int]],
+    def _fold_outcomes(self, batch, queue, key_to_index: Dict[str, int],
                        deadline_hit: bool, disconnected: bool = False,
                        done_records: Optional[Dict[str, Dict]] = None,
                        quarantined_records: Optional[Dict[str, Dict]] = None) -> None:
@@ -320,14 +316,14 @@ class SharedFSBackend(ExecutionBackend):
             done_records = dict(queue.collect_new(set()))
         applied = set()
         for key, record in done_records.items():
-            indices = key_to_indices.get(key)
-            if indices is None:
+            index = key_to_index.get(key)
+            if index is None:
                 continue  # a previous sweep's job sharing this queue dir
             applied.add(key)
-            self._apply(batch, indices, record)
+            self._apply(batch, index, record)
         poisoned_jobs = 0
         unclaimed_jobs = 0
-        for key, indices in key_to_indices.items():
+        for key, index in key_to_index.items():
             if key in applied:
                 continue
             record = quarantined_records.get(key)
@@ -336,11 +332,10 @@ class SharedFSBackend(ExecutionBackend):
                 # sealed quarantine record is the outcome — a permanent,
                 # journaled failure carrying the forensics.
                 reason = str(record.get("reason", "quarantined as a poison job"))
-                for index in indices:
-                    batch.record_failure(index, "poisoned", reason, 0.0)
-                    batch.outcome(index).quarantined = True
-                    batch.give_up(index)
-                poisoned_jobs += len(indices)
+                batch.record_failure(index, "poisoned", reason, 0.0)
+                batch.outcome(index).quarantined = True
+                batch.give_up(index)
+                poisoned_jobs += 1
                 continue
             if deadline_hit or disconnected:
                 # Never claimed (or its record never collected): not a
@@ -348,16 +343,14 @@ class SharedFSBackend(ExecutionBackend):
                 # view.  Left out of the journal so --resume runs it —
                 # and a restarted broker's ``submit`` skips keys whose
                 # done records already landed, so nothing re-executes.
-                for index in indices:
-                    batch.mark_unclaimed(index)
-                unclaimed_jobs += len(indices)
+                batch.mark_unclaimed(index)
+                unclaimed_jobs += 1
                 continue
             # Drained queue but no intact done record (quarantined on
             # read, or lost to the filesystem): an honest failure beats
             # a silent hang.
-            for index in indices:
-                batch.record_failure(index, "exception", "queue drained with no done record", 0.0)
-                batch.give_up(index)
+            batch.record_failure(index, "exception", "queue drained with no done record", 0.0)
+            batch.give_up(index)
         if poisoned_jobs:
             batch.degrade(
                 f"{self.name}: {poisoned_jobs} job(s) quarantined as poison "
@@ -533,13 +526,11 @@ class TCPBackend(SharedFSBackend):
         # Fail fast and actionably: an unreachable or misconfigured
         # broker surfaces here, before anything is submitted or spawned.
         queue.hello()
-        key_to_indices: Dict[str, List[int]] = {}
-        for index in pending:
-            key_to_indices.setdefault(batch.outcome(index).key, []).append(index)
-        # One queue job per distinct key; a restarted broker's queue
-        # already holding done records for some keys skips them — that
-        # is the resume path.
-        queue.submit([batch.jobs[indices[0]] for indices in key_to_indices.values()])
+        # One queue job per distinct key (execute_batch hands over one
+        # index per key); a restarted broker's queue already holding done
+        # records for some keys skips them — that is the resume path.
+        key_to_index = {batch.outcome(index).key: index for index in pending}
+        queue.submit([batch.jobs[index] for index in key_to_index.values()])
 
         deadline_at = getattr(batch, "deadline_at", None)
         if deadline_at is None and self.deadline is not None:
@@ -567,7 +558,7 @@ class TCPBackend(SharedFSBackend):
                 f"tcp: broker unreachable while collecting results ({exc}); "
                 "uncollected jobs left for --resume"
             )
-        self._fold_outcomes(batch, queue, key_to_indices, deadline_hit,
+        self._fold_outcomes(batch, queue, key_to_index, deadline_hit,
                             disconnected=disconnected,
                             done_records=done_records,
                             quarantined_records=quarantined_records)

@@ -54,7 +54,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkpoint import RunJournal
@@ -783,9 +783,18 @@ def execute_batch(
     batch = _Batch(jobs, policy, cache, trace_store, journal, report,
                    deadline_at=deadline_at)
 
+    # Identical jobs run, cache and journal once: only the first index of
+    # each key goes through the batch, and its copies take its outcome.
+    leaders: Dict[str, int] = {}
+    followers: List[Tuple[int, int]] = []
+    for index, o in enumerate(outcomes):
+        leader = leaders.setdefault(o.key, index)
+        if leader != index:
+            followers.append((index, leader))
+
     journaled = journal.completed() if journal is not None else {}
     pending: List[int] = []
-    for index, job in enumerate(jobs):
+    for index in leaders.values():
         o = outcomes[index]
         done = journaled.get(o.key)
         if done is not None:
@@ -800,13 +809,14 @@ def execute_batch(
                 continue
         pending.append(index)
 
-    if not pending:
-        return report
-    if backend is not None:
-        backend.execute(batch, pending, workers, share_traces)
-        return report
-    if workers <= 1 or len(pending) == 1:
-        _serial_phase(batch, pending)
-        return report
-    _pool_phase(batch, pending, workers, share_traces)
+    if pending:
+        if backend is not None:
+            backend.execute(batch, pending, workers, share_traces)
+        elif workers <= 1 or len(pending) == 1:
+            _serial_phase(batch, pending)
+        else:
+            _pool_phase(batch, pending, workers, share_traces)
+    for index, leader in followers:
+        first = outcomes[leader]
+        outcomes[index] = replace(first, index=index, attempts=list(first.attempts))
     return report

@@ -269,6 +269,7 @@ class ResultCache:
         self.quarantined = 0
         self.evicted = 0
         self.pressure_skipped = 0
+        self._dir_made = False
         # Disk-only guard: a ballooning RSS is the *runner's* problem
         # (workers drain and exit); persisting finished results is not.
         self._pressure = PressureGuard(self.directory, max_rss_bytes=None)
@@ -333,12 +334,20 @@ class ResultCache:
             # counter keeps the skip honest.
             self.pressure_skipped += 1
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self._dir_made:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
         path = self._path(key)
         data = dict(payload) if payload is not None else result_to_dict(result)
         data[DIGEST_KEY] = payload_digest(data)
         try:
-            atomic_write_json(path, data)  # readers never see partial files
+            try:
+                atomic_write_json(path, data)  # readers never see partial files
+            except FileNotFoundError:
+                # The directory vanished since it was made: make it again,
+                # once, rather than on every put.
+                self.directory.mkdir(parents=True, exist_ok=True)
+                atomic_write_json(path, data)
             spec = fault_point("cache", key=key)
             if spec is not None and spec.kind in ("corrupt-cache", "corrupt-artifact"):
                 if spec.kind == "corrupt-cache":

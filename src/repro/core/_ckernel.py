@@ -15,10 +15,11 @@ dlopen failure) and the engine falls back to the jit or interpreted
 leg.  Failures are remembered for the process so a missing compiler is
 probed exactly once.
 
-The exported symbol has the exact argument order of
-:func:`repro.core.kernels.kernel_span`; :func:`load` returns a wrapper
-with that same Python signature, so the driver treats all three legs
-interchangeably.
+The exported ``kernel_span`` and ``kernel_flush`` take the arrays of
+:func:`repro.core.kernels.kernel_span` in the same order;
+:meth:`CKernel.bind` takes their addresses once per run and returns
+``span(start, stop)`` / ``flush()`` callables, the same shape the driver
+builds around the Python legs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core import kernels as _k
 
@@ -326,17 +327,19 @@ static void route(St *st, int64_t rline, int64_t rpc, int64_t rsrc,
     l1_fill(st, rline, 1, rsrc, rpc, rfid, st->tagf, 0, tick);
 }
 
-int64_t kernel_span(
-    const int64_t *mcls, const int64_t *mpc, const int64_t *mline,
-    const int64_t *selffid, const int64_t *nspfid,
-    int64_t *l1_tag, uint8_t *l1_dirty, uint8_t *l1_pib, uint8_t *l1_rib,
-    uint8_t *l1_nsp, uint8_t *l1_src, int64_t *l1_tpc, int64_t *l1_fid,
-    int64_t *l1_stamp,
-    int64_t *l2_tag, uint8_t *l2_dirty, int64_t *l2_stamp,
-    int64_t *dir_key, int64_t *dir_shadow, uint8_t *dir_conf,
-    int64_t *aw_key, int64_t *aw_val,
-    int64_t *tvals, int64_t *K, int64_t *T, int64_t *S, const int64_t *P,
-    int64_t start, int64_t stop) {
+/* The array parameters shared by both entry points, in kernels.py order. */
+#define KERNEL_ARRAYS \
+    const int64_t *mcls, const int64_t *mpc, const int64_t *mline, \
+    const int64_t *selffid, const int64_t *nspfid, \
+    int64_t *l1_tag, uint8_t *l1_dirty, uint8_t *l1_pib, uint8_t *l1_rib, \
+    uint8_t *l1_nsp, uint8_t *l1_src, int64_t *l1_tpc, int64_t *l1_fid, \
+    int64_t *l1_stamp, \
+    int64_t *l2_tag, uint8_t *l2_dirty, int64_t *l2_stamp, \
+    int64_t *dir_key, int64_t *dir_shadow, uint8_t *dir_conf, \
+    int64_t *aw_key, int64_t *aw_val, \
+    int64_t *tvals, int64_t *K, int64_t *T, int64_t *S, const int64_t *P
+
+int64_t kernel_span(KERNEL_ARRAYS, int64_t start, int64_t stop) {
     St st;
     int64_t STORE = P[P_STORE];
     int64_t SW_PF = P[P_SWPF];
@@ -473,6 +476,22 @@ int64_t kernel_span(
     }
     return 0;
 }
+
+int64_t kernel_flush(KERNEL_ARRAYS) {
+    St st = {0};
+    int64_t w, n1 = (P[P_L1MASK] + 1) * P[P_W1];
+    st.tvals = tvals; st.K = K;
+    st.fmode = P[P_FMODE]; st.maxv = P[P_MAXV];
+    for (w = 0; w < n1; w++) {
+        if (l1_tag[w] != MAP_EMPTY && l1_pib[w]) {
+            int64_t vrib = l1_rib[w];
+            int64_t row = (int64_t)l1_src[w] * 7;
+            if (vrib) T[row + T_GOOD] += 1; else T[row + T_BAD] += 1;
+            feedback(&st, vrib, l1_fid[w]);
+        }
+    }
+    return 0;
+}
 """
 
 
@@ -522,34 +541,55 @@ def _build(source: str) -> Path:
 
 
 _N_ARRAYS = 27
-_FN: Optional[Callable] = None
+_LEG: Optional["CKernel"] = None
 _TRIED = False
 LOAD_ERROR = ""
 
 
-def _bind(so_path: Path) -> Callable:
-    lib = ctypes.CDLL(str(so_path))
-    fn = lib.kernel_span
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p] * _N_ARRAYS + [ctypes.c_int64] * 2
+class CKernel:
+    """The compiled ``kernel_span`` and ``kernel_flush`` of one library."""
 
-    def span(*args):
-        arrays, start, stop = args[:_N_ARRAYS], args[-2], args[-1]
-        return fn(*(a.ctypes.data for a in arrays), int(start), int(stop))
+    __slots__ = ("_span", "_flush")
 
-    return span
+    def __init__(self, so_path: Path) -> None:
+        lib = ctypes.CDLL(str(so_path))
+        self._span = lib.kernel_span
+        self._span.restype = ctypes.c_int64
+        self._span.argtypes = [ctypes.c_void_p] * _N_ARRAYS + [ctypes.c_int64] * 2
+        self._flush = lib.kernel_flush
+        self._flush.restype = ctypes.c_int64
+        self._flush.argtypes = [ctypes.c_void_p] * _N_ARRAYS
+
+    def bind(self, arrays: Sequence) -> Tuple[Callable, Callable]:
+        """``(span(start, stop), flush())`` over ``arrays`` (the arrays of
+        :func:`repro.core.kernels.kernel_span`, in its order), with each
+        array's address taken once here rather than on every call."""
+        if len(arrays) != _N_ARRAYS:
+            raise ValueError(f"expected {_N_ARRAYS} arrays, got {len(arrays)}")
+        ptrs = tuple(a.ctypes.data for a in arrays)
+        span_fn, flush_fn = self._span, self._flush
+
+        def span(start: int, stop: int) -> int:
+            return span_fn(*ptrs, start, stop)
+
+        def flush() -> int:
+            return flush_fn(*ptrs)
+
+        # The raw addresses are valid only while the arrays live.
+        span.arrays = flush.arrays = arrays  # type: ignore[attr-defined]
+        return span, flush
 
 
-def load() -> Optional[Callable]:
-    """The compiled ``kernel_span`` (same signature as the Python one),
-    or ``None`` when this leg is unavailable; probed once per process."""
-    global _FN, _TRIED, LOAD_ERROR
+def load() -> Optional[CKernel]:
+    """The compiled leg, or ``None`` when it is unavailable; probed once
+    per process."""
+    global _LEG, _TRIED, LOAD_ERROR
     if _TRIED:
-        return _FN
+        return _LEG
     _TRIED = True
     try:
-        _FN = _bind(_build(c_source()))
+        _LEG = CKernel(_build(c_source()))
     except Exception as exc:  # any failure degrades to jit/interp legs
         LOAD_ERROR = str(exc)
-        _FN = None
-    return _FN
+        _LEG = None
+    return _LEG

@@ -24,7 +24,7 @@ the result payload (``pipeline.kernel_mode_id`` in ``stats``) so cached
 results from different legs are distinguishable — by provenance and
 timing only, never by counters.
 
-State layout (allocated per run, all C-contiguous):
+State layout (all C-contiguous):
 
 * L1: ``tag``/``tpc``/``fid``/``stamp`` int64 + ``dirty``/``pib``/
   ``rib``/``nsp``/``src`` uint8, one slot per way, set-major
@@ -40,12 +40,26 @@ State layout (allocated per run, all C-contiguous):
   tally rows, flattened), folded into the shared stats tree only at the
   warmup boundary and the end of the run (the StatGroup flush
   discipline the other batch tier uses).
+
+Everything but the history-table view is reused across runs on the same
+trace.  The cache, map and counter arrays form one :class:`KernelState`
+arena per (L1 geometry, L2 geometry, map capacity), reset in place at
+the start of each run.  The per-memory-op columns (class, PC, line) are
+computed once per (trace, length, line size, software prefetch) and the
+filter-index columns once per (filter, table shape, hash, degree,
+prefetchers); both are read-only.  All of it hangs off a
+:class:`_TraceMemo` that holds the trace only weakly and is dropped when
+the trace dies or another trace runs, so a finished trace group leaves
+nothing behind.  The end-of-run flush of resident prefetched lines runs
+inside the kernel (``kernel_flush``) on every leg.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+import weakref
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -129,15 +143,25 @@ def select_mode() -> str:
     return modes[0]
 
 
-def _span_fn(mode: str):
-    if mode == MODE_JIT:
-        return krn.kernel_span
+def _bind_leg(mode: str, arrays: tuple) -> Tuple[Callable, Callable]:
+    """``(span(start, stop), flush())`` of one leg over one run's arrays."""
     if mode == MODE_CC:
-        fn = _ckernel.load()
-        if fn is None:  # pragma: no cover - select_mode never hands us this
+        leg = _ckernel.load()
+        if leg is None:  # pragma: no cover - select_mode never hands us this
             raise RuntimeError(f"cc leg unavailable: {_ckernel.LOAD_ERROR}")
-        return fn
-    return krn.py_kernel_span
+        return leg.bind(arrays)
+    if mode == MODE_JIT:
+        span_fn, flush_fn = krn.kernel_span, krn.kernel_flush
+    else:
+        span_fn, flush_fn = krn.py_kernel_span, krn.py_kernel_flush
+
+    def span(start: int, stop: int) -> int:
+        return span_fn(*arrays, start, stop)
+
+    def flush() -> int:
+        return flush_fn(*arrays)
+
+    return span, flush
 
 
 def _map_capacity(n_mem: int) -> int:
@@ -167,7 +191,7 @@ class KernelState:
         "tvals", "K", "T", "S", "P",
     )
 
-    def __init__(self, l1cfg, l2cfg, n_mem: int, tvals: np.ndarray) -> None:
+    def __init__(self, l1cfg, l2cfg, cap: int) -> None:
         l1 = allocate_flat_cache(
             l1cfg, flags=("dirty", "pib", "rib", "nsp", "src"), extra=("tpc", "fid")
         )
@@ -184,17 +208,30 @@ class KernelState:
         self.l2_tag = l2["tag"]
         self.l2_dirty = l2["dirty"]
         self.l2_stamp = l2["stamp"]
-        cap = _map_capacity(n_mem)
-        self.dir_key = np.full(cap, krn.MAP_EMPTY, dtype=np.int64)
-        self.dir_shadow = np.zeros(cap, dtype=np.int64)
-        self.dir_conf = np.zeros(cap, dtype=np.uint8)
-        self.aw_key = np.full(cap, krn.MAP_EMPTY, dtype=np.int64)
-        self.aw_val = np.zeros(cap, dtype=np.int64)
-        self.tvals = tvals
-        self.K = np.zeros(krn.NK, dtype=np.int64)
-        self.T = np.zeros(krn.NT, dtype=np.int64)
-        self.S = np.full(krn.NS, -1, dtype=np.int64)
-        self.P = np.zeros(krn.NP_PARAMS, dtype=np.int64)
+        self.dir_key = np.empty(cap, dtype=np.int64)
+        self.dir_shadow = np.empty(cap, dtype=np.int64)
+        self.dir_conf = np.empty(cap, dtype=np.uint8)
+        self.aw_key = np.empty(cap, dtype=np.int64)
+        self.aw_val = np.empty(cap, dtype=np.int64)
+        self.tvals = np.zeros(1, dtype=np.int64)
+        self.K = np.empty(krn.NK, dtype=np.int64)
+        self.T = np.empty(krn.NT, dtype=np.int64)
+        self.S = np.empty(krn.NS, dtype=np.int64)
+        self.P = np.empty(krn.NP_PARAMS, dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> None:
+        """Return every array to its freshly allocated state, in place:
+        caches invalid, maps empty, counters and scratch cleared (which
+        also wipes anything a sanitizer trip wrote into the state)."""
+        for empty in (self.l1_tag, self.l2_tag, self.dir_key, self.aw_key, self.S):
+            empty.fill(-1)
+        for zero in (
+            self.l1_dirty, self.l1_pib, self.l1_rib, self.l1_nsp, self.l1_src,
+            self.l1_tpc, self.l1_fid, self.l1_stamp, self.l2_dirty, self.l2_stamp,
+            self.dir_shadow, self.dir_conf, self.aw_val, self.K, self.T, self.P,
+        ):
+            zero.fill(0)
 
     def span_args(self, mcls, mpc, mline, selffid, nspfid) -> tuple:
         """The full positional argument tuple of ``kernel_span`` minus
@@ -294,6 +331,92 @@ class KernelState:
             )
 
 
+class _TraceMemo:
+    """What :meth:`KernelEngine.run` derives from one trace, kept while
+    the trace lives: its memory-op columns, one set of filter-index
+    columns and one state arena, each under the key it was built for.
+
+    The memo holds the trace only through a weak reference whose
+    callback drops the memo, so it never keeps a trace (or an arena)
+    alive after the caller lets go of the trace.
+    """
+
+    __slots__ = ("ref", "cols_key", "cols", "fids_key", "fids", "arena_key", "arena")
+
+    def __init__(self, trace: Trace) -> None:
+        self.ref = weakref.ref(trace, _forget)
+        self.cols_key = self.fids_key = self.arena_key = None
+        self.cols: tuple = ()
+        self.fids: tuple = ()
+        self.arena: Optional[KernelState] = None
+
+
+#: The memo of the trace the last run used (one trace at a time).
+_memo: Optional[_TraceMemo] = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _memo
+    if _memo is not None and _memo.ref is ref:
+        _memo = None
+
+
+def _trace_memo(trace: Trace) -> _TraceMemo:
+    global _memo
+    memo = _memo
+    if memo is None or memo.ref() is not trace:
+        memo = _memo = _TraceMemo(trace)
+    return memo
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _memory_columns(trace: Trace, n: int, offset_bits: int, sw_on: bool) -> tuple:
+    """``(midx, mcls, mpc, mline)`` over the first ``n`` records: trace
+    position, class, PC and line of every memory op the kernel replays."""
+    iclass = trace.iclass[:n]
+    mask = (iclass == int(InstrClass.LOAD)) | (iclass == int(InstrClass.STORE))
+    if sw_on:
+        mask |= iclass == int(InstrClass.SW_PREFETCH)
+    midx = np.nonzero(mask)[0]
+    mcls = iclass[mask].astype(np.int64)
+    # Boolean indexing copies, so the int64 views own fresh buffers.
+    mpc = trace.pc[:n][mask].view(np.int64)
+    mline = (trace.addr[:n][mask] >> np.uint64(offset_bits)).view(np.int64)
+    return _read_only(midx, mcls, mpc, mline)
+
+
+def _filter_columns(filt, mpc, mline, degree: int, nsp_on: bool, sw_on: bool) -> tuple:
+    """``(selffid, nspfid)``: per-memory-op filter-index columns (PA keys
+    on the prefetched line, PC on the trigger PC); the hot loop only
+    hashes for SDP shadow lines under the PA scheme, where the key is
+    run-dependent."""
+    n_mem = len(mpc)
+    selffid = np.zeros(n_mem, dtype=np.int64)
+    nspfid = np.zeros(degree * n_mem, dtype=np.int64)
+    ftype = type(filt)
+    if ftype is PAFilter:
+        E, SCH = filt.table.entries, filt.table.hash_scheme
+        lines = mline.view(np.uint64)
+        if nsp_on:
+            for d in range(1, degree + 1):
+                nspfid[(d - 1) * n_mem : d * n_mem] = table_index_array(
+                    lines + np.uint64(d), E, SCH
+                )
+        if sw_on:
+            selffid = table_index_array(lines, E, SCH)
+    elif ftype is PCFilter:
+        E, SCH = filt.table.entries, filt.table.hash_scheme
+        selffid = table_index_array(mpc.view(np.uint64), E, SCH)
+        for d in range(degree):
+            nspfid[d * n_mem : (d + 1) * n_mem] = selffid
+    return _read_only(selffid, nspfid)
+
+
 class KernelEngine(OoOPipeline):
     """Classification-accurate compiled engine (no cycle-level timing)."""
 
@@ -318,8 +441,9 @@ class KernelEngine(OoOPipeline):
                 "engine"
             )
 
-    # One long straight-line method on purpose, mirroring VectorEngine.run
-    # section for section so a side-by-side diff of the two tiers is easy.
+    # Straight-line on purpose (set-up here, the replay in ``_replay``),
+    # mirroring VectorEngine.run section for section so a side-by-side
+    # diff of the two tiers is easy.
     def run(self, trace: Trace) -> int:  # noqa: C901 - deliberate hot-loop driver
         self._check_supported()
         cfg = self.config
@@ -331,7 +455,6 @@ class KernelEngine(OoOPipeline):
         mode = select_mode()
         self.kernel_mode = mode
         self.stats.set("kernel_mode_id", MODE_IDS[mode])
-        span = _span_fn(mode)
 
         l1cfg = cfg.hierarchy.l1
         l2cfg = cfg.hierarchy.l2
@@ -341,21 +464,16 @@ class KernelEngine(OoOPipeline):
         sw_on = self.sw_unit is not None
         degree = cfg.prefetch.degree
 
-        # ---- batch precompute (identical to the vector tier) -------------
-        iclass = trace.iclass[:n]
-        LOAD = int(InstrClass.LOAD)
+        # ---- per-trace columns (memoized while the trace lives) ----------
+        memo = _trace_memo(trace)
+        cols_key = (n, offset_bits, sw_on)
+        if memo.cols_key != cols_key:
+            memo.cols = _memory_columns(trace, n, offset_bits, sw_on)
+            memo.cols_key, memo.fids_key = cols_key, None
+        midx, mcls, mpc, mline = memo.cols
+        n_mem = len(midx)
         STORE = int(InstrClass.STORE)
         SW_PF = int(InstrClass.SW_PREFETCH)
-        mask = (iclass == LOAD) | (iclass == STORE)
-        if sw_on:
-            mask |= iclass == SW_PF
-        midx = np.nonzero(mask)[0]
-        n_mem = len(midx)
-        pcs = trace.pc[:n][mask]
-        lines_arr = trace.addr[:n][mask] >> np.uint64(offset_bits)
-        mcls = np.ascontiguousarray(iclass[mask], dtype=np.int64)
-        mpc = pcs.astype(np.int64)
-        mline = lines_arr.astype(np.int64)
 
         filt = self.filter
         ftype = type(filt)
@@ -365,6 +483,7 @@ class KernelEngine(OoOPipeline):
         thresh = maxv = tbits = 0
         scheme_id = 0
         tvals = np.zeros(1, dtype=np.int64)
+        fids_key: tuple = (ftype, degree, nsp_on, sw_on)
         if is_table:
             table = filt.table
             tbits = table.entries.bit_length() - 1
@@ -372,59 +491,62 @@ class KernelEngine(OoOPipeline):
             thresh = table.counters.threshold
             maxv = table.counters.max_value
             tvals = table.counters.export_int64()
-
-        # Per-memory-op filter-index columns (PA keys on the prefetched
-        # line, PC on the trigger PC); the hot loop only hashes for SDP
-        # shadow lines under the PA scheme, where the key is run-dependent.
-        selffid = np.zeros(n_mem, dtype=np.int64)
-        nspfid = np.zeros(degree * n_mem, dtype=np.int64)
-        if is_pa:
-            E, SCH = filt.table.entries, filt.table.hash_scheme
-            if nsp_on:
-                for d in range(1, degree + 1):
-                    nspfid[(d - 1) * n_mem : d * n_mem] = table_index_array(
-                        lines_arr + np.uint64(d), E, SCH
-                    )
-            if sw_on:
-                selffid = np.ascontiguousarray(table_index_array(lines_arr, E, SCH))
-        elif is_pc:
-            E, SCH = filt.table.entries, filt.table.hash_scheme
-            pcf = table_index_array(pcs, E, SCH)
-            selffid = np.ascontiguousarray(pcf)
-            for d in range(degree):
-                nspfid[d * n_mem : (d + 1) * n_mem] = pcf
+            fids_key += (table.entries, table.hash_scheme)
+        if memo.fids_key != fids_key:
+            memo.fids = _filter_columns(filt, mpc, mline, degree, nsp_on, sw_on)
+            memo.fids_key = fids_key
+        selffid, nspfid = memo.fids
 
         # ---- flat state + scalar parameter block -------------------------
-        st = KernelState(l1cfg, l2cfg, n_mem, tvals)
-        P = st.P
-        P[krn.P_W1] = l1cfg.ways
-        P[krn.P_L1MASK] = l1cfg.num_sets - 1
-        P[krn.P_W2] = l2cfg.ways
-        P[krn.P_L2MASK] = l2cfg.num_sets - 1
-        P[krn.P_WB] = 1 if l1cfg.writeback else 0
-        P[krn.P_NSP] = 1 if nsp_on else 0
-        P[krn.P_SDP] = 1 if sdp_on else 0
-        P[krn.P_DEGREE] = degree
-        P[krn.P_TAGF] = 1 if self._tag_fills else 0
-        P[krn.P_FMODE] = krn.FMODE_TABLE if is_table else krn.FMODE_NULL
-        P[krn.P_THRESH] = thresh
-        P[krn.P_MAXV] = maxv
-        P[krn.P_TBITS] = tbits
-        P[krn.P_SCHEME] = scheme_id
-        P[krn.P_SDPHASH] = 1 if is_pa else 0
-        P[krn.P_NMEM] = n_mem
-        P[krn.P_DIRMASK] = len(st.dir_key) - 1
-        P[krn.P_AWMASK] = len(st.aw_key) - 1
-        P[krn.P_STORE] = STORE
-        P[krn.P_SWPF] = SW_PF
+        # The arena leaves the memo for the run and goes back after it,
+        # raising or not, so a concurrent run on the same trace builds
+        # its own rather than sharing this one.
+        cap = _map_capacity(n_mem)
+        arena_key = (l1cfg.num_sets, l1cfg.ways, l2cfg.num_sets, l2cfg.ways, cap)
+        st = memo.arena if memo.arena_key == arena_key else None
+        memo.arena = memo.arena_key = None
+        if st is None:
+            st = KernelState(l1cfg, l2cfg, cap)
+        else:
+            st.reset()
+        try:
+            st.tvals = tvals
+            P = st.P
+            P[krn.P_W1] = l1cfg.ways
+            P[krn.P_L1MASK] = l1cfg.num_sets - 1
+            P[krn.P_W2] = l2cfg.ways
+            P[krn.P_L2MASK] = l2cfg.num_sets - 1
+            P[krn.P_WB] = 1 if l1cfg.writeback else 0
+            P[krn.P_NSP] = 1 if nsp_on else 0
+            P[krn.P_SDP] = 1 if sdp_on else 0
+            P[krn.P_DEGREE] = degree
+            P[krn.P_TAGF] = 1 if self._tag_fills else 0
+            P[krn.P_FMODE] = krn.FMODE_TABLE if is_table else krn.FMODE_NULL
+            P[krn.P_THRESH] = thresh
+            P[krn.P_MAXV] = maxv
+            P[krn.P_TBITS] = tbits
+            P[krn.P_SCHEME] = scheme_id
+            P[krn.P_SDPHASH] = 1 if is_pa else 0
+            P[krn.P_NMEM] = n_mem
+            P[krn.P_DIRMASK] = cap - 1
+            P[krn.P_AWMASK] = cap - 1
+            P[krn.P_STORE] = STORE
+            P[krn.P_SWPF] = SW_PF
+            args = st.span_args(mcls, mpc, mline, selffid, nspfid)
+            return self._replay(st, args, midx, n, mode)
+        finally:
+            memo.arena, memo.arena_key = st, arena_key
 
-        args = st.span_args(mcls, mpc, mline, selffid, nspfid)
+    def _replay(self, st: KernelState, args: tuple, midx: np.ndarray, n: int, mode: str) -> int:
+        """Drive the kernel over one run: spans, warmup fold, final flush."""
+        cfg = self.config
+        span, flush = _bind_leg(mode, args)
 
         def call(start: int, stop: int) -> None:
             # errstate: the interp leg's uint64 golden-ratio multiplies
             # overflow by design; numba/C wrap silently, numpy warns.
             with np.errstate(over="ignore"):
-                status = int(span(*args, start, stop))
+                status = int(span(start, stop))
             if status != 0:
                 raise RuntimeError(
                     f"kernel span aborted with status {status} (SDP map "
@@ -434,6 +556,8 @@ class KernelEngine(OoOPipeline):
         # ---- deferred-statistics fold ------------------------------------
         hierarchy = self.hierarchy
         classifier = self.classifier
+        filt = self.filter
+        is_table = int(st.P[krn.P_FMODE]) == krn.FMODE_TABLE
         K = st.K
         T = st.T
         cum = [0, 0]  # cumulative (L1 demand misses, memory fetches)
@@ -465,15 +589,15 @@ class KernelEngine(OoOPipeline):
             bm[TransferKind.DEMAND_FILL] += int(K[krn.K_BMD])
             bm[TransferKind.PREFETCH_FILL] += int(K[krn.K_BMP])
             bm[TransferKind.WRITEBACK] += int(K[krn.K_BMW])
-            if nsp_on:
+            if self.nsp is not None:
                 self.nsp._n_trigger_miss += int(K[krn.K_NSPM])
                 self.nsp._n_trigger_tag += int(K[krn.K_NSPT])
-            if sdp_on:
+            if self.sdp is not None:
                 self.sdp._n_issued += int(K[krn.K_SDPI])
                 self.sdp._n_suppressed += int(K[krn.K_SDPS])
                 self.sdp._n_learned += int(K[krn.K_SDPL])
                 self.sdp._n_confirmed += int(K[krn.K_SDPC])
-            if sw_on:
+            if self.sw_unit is not None:
                 self.sw_unit._n_executed += int(K[krn.K_SWX])
             filt._n_allowed += int(K[krn.K_FA])
             filt._n_rejected += int(K[krn.K_FR])
@@ -539,6 +663,7 @@ class KernelEngine(OoOPipeline):
                     )
                 pos = nxt
 
+        n_mem = len(midx)
         warmup = min(cfg.warmup_instructions, n)
         if warmup and warmup < n and self.on_warmup is not None:
             split = int(np.searchsorted(midx, warmup))
@@ -551,16 +676,7 @@ class KernelEngine(OoOPipeline):
 
         # Final flush: classify still-resident prefetched lines exactly the
         # way Cache.flush does — feedback fires, eviction counters do not.
-        fmode = int(P[krn.P_FMODE])
-        resident = np.nonzero((st.l1_tag != -1) & (st.l1_pib != 0))[0]
-        for w in resident.tolist():
-            vrib = int(st.l1_rib[w])
-            row = int(st.l1_src[w]) * 7
-            if vrib:
-                T[row + krn.T_GOOD] += 1
-            else:
-                T[row + krn.T_BAD] += 1
-            krn.feedback(st.tvals, K, vrib, int(st.l1_fid[w]), fmode, maxv)
+        flush()
         fold()
 
         if sanitizer is not None:

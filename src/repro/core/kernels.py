@@ -553,6 +553,33 @@ def kernel_span(
 
 
 # ----------------------------------------------------------------------
+# End-of-run flush
+# ----------------------------------------------------------------------
+def kernel_flush(
+    mcls, mpc, mline, selffid, nspfid,
+    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc, l1_fid, l1_stamp,
+    l2_tag, l2_dirty, l2_stamp,
+    dir_key, dir_shadow, dir_conf, aw_key, aw_val,
+    tvals, K, T, S, P,
+):
+    """Classify still-resident prefetched lines exactly the way
+    ``Cache.flush`` does: ascending way order, feedback fires, eviction
+    counters do not.  Takes ``kernel_span``'s arrays (no span bounds)."""
+    fmode = int(P[P_FMODE])
+    maxv = int(P[P_MAXV])
+    for w in range(len(l1_tag)):
+        if l1_tag[w] != MAP_EMPTY and l1_pib[w] != 0:
+            vrib = int(l1_rib[w])
+            row = int(l1_src[w]) * 7
+            if vrib != 0:
+                T[row + T_GOOD] += 1
+            else:
+                T[row + T_BAD] += 1
+            feedback(tvals, K, vrib, int(l1_fid[w]), fmode, maxv)
+    return 0
+
+
+# ----------------------------------------------------------------------
 # JIT wrapping — selected once at import time
 # ----------------------------------------------------------------------
 def _jit_requested() -> bool:
@@ -560,8 +587,9 @@ def _jit_requested() -> bool:
     return os.environ.get("NUMBA_DISABLE_JIT", "").strip().lower() not in _TRUTHY
 
 
-#: The undecorated interpreter-leg entry point (always available).
+#: The undecorated interpreter-leg entry points (always available).
 py_kernel_span = kernel_span
+py_kernel_flush = kernel_flush
 
 HAVE_JIT = False
 JIT_ERROR = ""
@@ -582,6 +610,7 @@ if _jit_requested():
         l1_fill = njit(**_opts)(l1_fill)
         route = njit(**_opts)(route)
         kernel_span = njit(**_opts)(kernel_span)
+        kernel_flush = njit(**_opts)(kernel_flush)
         HAVE_JIT = True
     except ImportError as exc:  # numba absent: interp/cc legs take over
         JIT_ERROR = str(exc)

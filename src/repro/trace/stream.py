@@ -87,9 +87,13 @@ class TraceSummary:
 
 
 class Trace:
-    """Immutable columnar instruction trace."""
+    """Immutable columnar instruction trace.
 
-    __slots__ = ("iclass", "pc", "addr", "taken", "name")
+    Weak-referenceable, so derived data (the kernel engine's per-trace
+    columns) can be kept exactly as long as the trace itself.
+    """
+
+    __slots__ = ("iclass", "pc", "addr", "taken", "name", "__weakref__")
 
     def __init__(
         self,

@@ -254,3 +254,67 @@ def test_shared_fs_rejects_bad_knobs(tmp_path):
         SharedFSBackend(queue_dir=tmp_path, spawn=-1)
     with pytest.raises(ValueError):
         SharedFSBackend(queue_dir=tmp_path, batch=0)
+
+
+@pytest.mark.parametrize("shared_fs", [False, True], ids=["serial", "shared-fs"])
+def test_duplicate_jobs_run_cache_and_journal_once_per_key(tmp_path, monkeypatch, shared_fs):
+    from repro.analysis import parallel, worker
+
+    job, other = _jobs(2)
+    jobs = [job, other, job, job]
+    keys = [j.key() for j in jobs]
+    executed = []
+    real_execute = parallel.execute_job
+
+    def counting_execute(j, *args, **kwargs):
+        executed.append(j.key())
+        return real_execute(j, *args, **kwargs)
+
+    # The serial phase looks execute_job up on parallel, the queue drain
+    # on worker: count both.
+    monkeypatch.setattr(parallel, "execute_job", counting_execute)
+    monkeypatch.setattr(worker, "execute_job", counting_execute)
+    cache = ResultCache(tmp_path / "cache")
+    put_keys = []
+    real_put = cache.put
+
+    def counting_put(key, *args, **kwargs):
+        put_keys.append(key)
+        return real_put(key, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "put", counting_put)
+    journal = RunJournal(tmp_path / "run.jsonl")
+    report = run_jobs(
+        jobs, workers=1, cache=cache, journal=journal, return_report=True,
+        backend=_backend(tmp_path) if shared_fs else None,
+    )
+
+    assert sorted(executed) == sorted(set(keys))
+    assert sorted(put_keys) == sorted(set(keys))
+    assert journal.appended == 2
+    assert len((tmp_path / "run.jsonl").read_text().splitlines()) == 2
+    assert [(o.index, o.key) for o in report.outcomes] == list(enumerate(keys))
+    assert all(o.ok for o in report.outcomes)
+    leader = report.outcomes[0]
+    for copy in report.outcomes[2:]:
+        assert _fingerprint(copy.result) == _fingerprint(leader.result)
+        assert (copy.attempts, copy.error, copy.unclaimed, copy.from_cache) == (
+            leader.attempts, leader.error, leader.unclaimed, leader.from_cache,
+        )
+    assert _fingerprint(report.outcomes[1].result) != _fingerprint(leader.result)
+
+
+def test_duplicate_jobs_share_the_leaders_failure(tmp_path):
+    grid = _jobs(6)
+    job, other = grid[0], grid[5]  # seeds 0 and 1
+    journal = RunJournal(tmp_path / "run.jsonl")
+    with inject_faults("raise@worker:match=|seed=0|"):
+        report = run_jobs(
+            [job, other, job], workers=1, policy=RetryPolicy(max_attempts=2, **FAST),
+            journal=journal, return_report=True,
+        )
+    first, second, copy = report.outcomes
+    assert second.ok and not first.ok and not copy.ok
+    assert journal.appended == 2  # one failure record, one success
+    assert copy.error == first.error and len(copy.attempts) == len(first.attempts) == 2
+    assert copy.attempts is not first.attempts

@@ -358,3 +358,136 @@ def test_flat_cache_allocation_layout():
     assert arrays["stamp"].dtype == np.int64 and not arrays["stamp"].any()
     assert arrays["dirty"].dtype == np.uint8 and arrays["pib"].dtype == np.uint8
     assert arrays["fid"].dtype == np.int64
+
+
+class TestPerTraceReuse:
+    """Per-trace columns and the reused state arena change no counter,
+    and live exactly as long as the trace they were derived from."""
+
+    @staticmethod
+    def _l2(cfg, kb):
+        from dataclasses import replace
+
+        l2 = replace(cfg.hierarchy.l2, size_bytes=kb * 1024)
+        return replace(cfg, hierarchy=replace(cfg.hierarchy, l2=l2)).validate()
+
+    @staticmethod
+    def _vs_vector(label, workload, cfg, trace):
+        v = run_workload(workload, cfg, len(trace), 0, "vector", trace=trace)
+        k = run_workload(workload, cfg, len(trace), 0, "kernel", trace=trace)
+        _assert_identical(label, v, k)
+
+    def test_interleaved_traces_filters_and_geometries(self):
+        from repro.workloads import build_trace
+
+        traces = {w: build_trace(w, 10_000, seed=3) for w in ("em3d", "mcf")}
+        base = SimulationConfig.paper_default(FilterKind.NONE).with_warmup(2_000)
+        for workload in ("em3d", "mcf", "em3d"):
+            for kind in FILTERS:
+                for l2_kb in (512, 128):
+                    for entries in (1024, 4096):
+                        cfg = self._l2(base.with_filter(kind=kind, table_entries=entries), l2_kb)
+                        self._vs_vector(
+                            f"{workload}/{kind.value}/l2={l2_kb}k/t{entries}",
+                            workload, cfg, traces[workload],
+                        )
+
+    def test_clean_run_after_a_sanitizer_trip_on_the_same_arena(self, monkeypatch):
+        from repro.common.faults import inject_faults as faults
+        from repro.sanitize import SanitizerViolation
+        from repro.workloads import build_trace
+
+        trace = build_trace("em3d", 8_000, seed=5)
+        cfg = SimulationConfig.paper_default(FilterKind.PA)
+        monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "512")
+        with faults("invariant-trip@sanitizer"):
+            with pytest.raises(SanitizerViolation):
+                run_workload("em3d", cfg.with_sanitize(), len(trace), 0, "kernel", trace=trace)
+        arena = kernel_mod._memo.arena
+        assert arena is not None and arena.l1_rib[0] == 1  # the trip's residue
+        self._vs_vector("after-trip", "em3d", cfg, trace)
+        assert kernel_mod._memo.arena is arena  # reset in place, not rebuilt
+
+    def test_trace_and_arena_die_together(self):
+        import gc
+        import weakref
+
+        from repro.workloads import build_trace
+
+        trace = build_trace("gzip", 6_000, seed=2)
+        cfg = SimulationConfig.paper_default(FilterKind.PC)
+        run_workload("gzip", cfg, len(trace), 0, "kernel", trace=trace)
+        memo = kernel_mod._memo
+        assert memo.ref() is trace
+        arrays = [weakref.ref(a) for a in (memo.arena.l1_tag, memo.arena.dir_key)]
+        arrays += [weakref.ref(a) for a in memo.cols + memo.fids]
+        trace_ref = weakref.ref(trace)
+        del trace, memo
+        gc.collect()
+        assert trace_ref() is None
+        assert kernel_mod._memo is None
+        assert all(ref() is None for ref in arrays)
+
+    def test_columns_are_read_only_and_traces_still_pickle(self):
+        from repro.workloads import build_trace
+
+        trace = build_trace("em3d", 6_000, seed=4)
+        cfg = SimulationConfig.paper_default(FilterKind.PA)
+        run_workload("em3d", cfg, len(trace), 0, "kernel", trace=trace)
+        memo = kernel_mod._memo
+        for column in memo.cols + memo.fids:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.name == trace.name
+        for field in ("iclass", "pc", "addr", "taken"):
+            a, b = getattr(trace, field), getattr(copy, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        import weakref
+
+        assert weakref.ref(copy)() is copy
+
+
+class TestKernelFlush:
+    """The in-kernel final flush agrees on every leg, saturation included."""
+
+    @staticmethod
+    def _state(fmode, seed):
+        from repro.core import kernels as krn
+
+        l1cfg = CacheConfig(size_bytes=4 * 1024, line_bytes=32, assoc=2)
+        l2cfg = CacheConfig(size_bytes=16 * 1024, line_bytes=32, assoc=4)
+        st = kernel_mod.KernelState(l1cfg, l2cfg, 1024)
+        rng = np.random.default_rng(seed)
+        n1 = len(st.l1_tag)
+        valid = rng.random(n1) < 0.8
+        st.l1_tag[:] = np.where(valid, np.arange(n1) // 2, -1)
+        st.l1_pib[:] = rng.random(n1) < 0.6
+        st.l1_rib[:] = st.l1_pib & (rng.random(n1) < 0.5)
+        st.l1_src[:] = np.where(st.l1_pib != 0, rng.integers(1, 5, n1), 0)
+        # Few table slots, many ways each, counters starting at both
+        # rails: the saturating updates only agree in one way order.
+        st.l1_fid[:] = rng.integers(0, 4, n1)
+        st.tvals = np.array([0, 3, 1, 3], dtype=np.int64)
+        st.P[krn.P_W1] = l1cfg.ways
+        st.P[krn.P_L1MASK] = l1cfg.num_sets - 1
+        st.P[krn.P_FMODE] = fmode
+        st.P[krn.P_MAXV] = 3
+        return st
+
+    @pytest.mark.parametrize("fmode", [0, 1], ids=["null", "table"])
+    def test_flush_parity_across_legs(self, fmode):
+        outcomes = {}
+        for leg in available_modes():
+            st = self._state(fmode, seed=11)
+            cols = tuple(np.zeros(1, dtype=np.int64) for _ in range(5))
+            _, flush = kernel_mod._bind_leg(leg, st.span_args(*cols))
+            assert int(flush()) == 0
+            outcomes[leg] = (st.K.tolist(), st.T.tolist(), st.tvals.tolist())
+        expected = outcomes[MODE_INTERP]
+        assert any(expected[0]) and any(expected[1])
+        for leg, got in outcomes.items():
+            assert got == expected, f"{leg} flush != interp flush"
+        if fmode == 1:
+            assert expected[2] != [0, 3, 1, 3]  # the table was trained

@@ -125,6 +125,17 @@ class TestResultCache:
         assert restored.stats.flat() == sample_result.stats.flat()
         assert cache.hits == 1 and cache.misses == 0
 
+    def test_put_recreates_a_deleted_directory(self, tmp_path, sample_result):
+        import shutil
+
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("first", sample_result)
+        shutil.rmtree(tmp_path / "cache")
+        cache.put("second", sample_result)
+        restored = cache.get("second")
+        assert restored is not None
+        assert restored.stats.flat() == sample_result.stats.flat()
+
     def test_missing_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("nope") is None
